@@ -5,8 +5,10 @@ speedup ratios are diluted by the shared gzip/serialization stages (both
 paths pay them identically).  This harness isolates the layers the
 kernels actually replaced:
 
-- PMC / Swing segmentation (``kernels.pmc_chase`` / ``kernels.swing_chase``
-  vs the per-point scalar loops) without serialization or gzip,
+- PMC / Swing / CAMEO segmentation (``kernels.pmc_chase`` /
+  ``swing_chase`` / ``cameo_chase`` vs the ``use_kernel=False``
+  reference: the online encoders pushed point by point, and CAMEO's
+  per-point loop) without serialization or gzip,
 - the SZ block codec (``_encode_block_kernel`` vs ``_encode_block_scalar``
   over every block and predictor),
 - Huffman pack/unpack (``use_kernel=True`` vs ``False`` on a realistic SZ
@@ -43,21 +45,18 @@ def _row(label: str, kernel_s: float, scalar_s: float) -> None:
 
 def bench_segmentation(values: np.ndarray, error_bound: float,
                        repeats: int) -> None:
-    from repro.compression import kernels, timestamps
+    from repro.compression.cameo import Cameo
     from repro.compression.pmc import PMC
     from repro.compression.swing import Swing
 
-    max_length = timestamps.MAX_SEGMENT_LENGTH
-    _row(f"PMC segmentation   eps={error_bound:g}",
-         best_of(lambda: kernels.pmc_chase(values, error_bound, max_length),
-                 repeats),
-         best_of(lambda: PMC._segments_scalar(values, error_bound), repeats))
-    swing = Swing(use_kernel=False)
-    _row(f"Swing segmentation eps={error_bound:g}",
-         best_of(lambda: kernels.swing_chase(values, error_bound, max_length),
-                 repeats),
-         best_of(lambda: swing._segments_scalar(values, error_bound),
-                 repeats))
+    for label, codec in (("PMC segmentation  ", PMC),
+                         ("Swing segmentation", Swing),
+                         ("CAMEO segmentation", Cameo)):
+        kernel = codec(use_kernel=True)._segments
+        scalar = codec(use_kernel=False)._segments
+        _row(f"{label} eps={error_bound:g}",
+             best_of(lambda: kernel(values, error_bound), repeats),
+             best_of(lambda: scalar(values, error_bound), repeats))
 
 
 def bench_sz_blocks(values: np.ndarray, error_bound: float,

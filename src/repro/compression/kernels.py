@@ -1,13 +1,17 @@
 """Vectorized kernels for the segment compressors.
 
-PMC and Swing both grow an adaptive window point by point and close it the
-first time a running invariant breaks (the window mean leaves the admissible
-interval; the slope cone empties).  The scalar loops are exact but cost a
-Python interpreter round-trip per point, which dominates the evaluation
-grid's wall clock before a single forecaster runs.
+PMC, Swing and CAMEO all grow an adaptive window point by point and close
+it the first time a running invariant breaks (the window mean leaves the
+admissible interval; the slope cone empties).  Their scalar references are
+exact but cost a Python interpreter round-trip per point, which dominates
+the evaluation grid's wall clock before a single forecaster runs.  For PMC
+and Swing the reference is the online encoder's ``push`` loop
+(``repro.compression.streaming``), which ``use_kernel=False`` runs over
+the series; CAMEO keeps its own per-point loop in
+``repro.compression.cameo``.
 
 Two kernel families live here, both bit-for-bit identical to the scalar
-reference loops, picked per series by a cheap sampling dispatch:
+references, picked per series by a cheap sampling dispatch:
 
 **Dense first-violation sweeps** (short-segment regime) compute, for every
 position ``i`` at once, the index ``E[i]`` where a fresh window opened at
@@ -21,7 +25,8 @@ out of a pointer chase ``0 -> E[0] -> E[E[0]] -> ...``; when the chase
 lands on a window the sweep left unresolved, the chunked scan closes just
 that one segment and the chase resumes on ``E`` — none of the sweep's
 work is discarded.  Total work is ``O(n * mean_segment_length)``
-elementary C operations.
+elementary C operations.  The three codecs share the sweep skeleton
+(``_sweep``) and differ only in the per-round fold of their window state.
 
 **Chunked scans** (long-segment regime, and the streaming encoders in
 ``repro.compression.streaming``) walk segment-at-a-time: cumulative
@@ -41,8 +46,10 @@ Per-round segment-bound bookkeeping is deliberately absent from the
 sweeps: after the chase recovers the actual segment starts, the
 admissible-mean bounds / slope cones of just those segments are recomputed
 in one vectorized pass (``np.maximum.reduceat`` over the same per-point
-quantities the scalar loop folds — min/max are associative, so the values
-are bitwise identical).
+quantities the scalar references fold — min/max are associative, so the
+values are bitwise identical).  CAMEO's aggregate bounds depend on running
+sums that only a per-window fold reproduces, so its sweep keeps each
+window's interval as it resolves instead.
 
 Exactness: running sums are a strict left fold (``np.cumsum`` — and the
 streaming scan's cumsum seeded with the carried total — perform the exact
@@ -50,11 +57,12 @@ same float64 additions, in the same order, as ``total += value``), so PMC
 means are anchored to one global prefix-sum fold shared by every path.
 The PMC close predicate compares window *sums* against count-scaled bounds
 (``sum < lo * count``) rather than dividing — one multiply per candidate
-instead of a divide — and the scalar batch loop and streaming encoder use
-the exact same form, so close decisions agree bit for bit.  Swing's cone
-terms use the same subtraction/division order as the scalar loop.  The
-scalar paths are kept as references and pinned to the kernels by the
-equivalence suite in ``tests/compression/test_kernels.py``.
+instead of a divide — and the online encoder's ``push`` uses the exact
+same form, so close decisions agree bit for bit.  Swing's cone terms use
+the same subtraction/division order as ``push``.  The references are
+pinned to the kernels by the equivalence suite in
+``tests/compression/test_kernels.py``, which therefore proves kernel ≡
+online encoder ≡ batch compressor in one step.
 """
 
 from __future__ import annotations
@@ -84,9 +92,11 @@ SAMPLE_POINTS = 8192
 # Run the dense sweep only when the sampled mean segment length is at most
 # this; beyond it the chunked scan's per-segment cost amortizes better
 # than the sweep's O(n * mean_length) work.  Swing's sweep rounds carry
-# two divisions, so its crossover sits lower than PMC's.
+# two divisions, so its crossover sits lower than PMC's; CAMEO's carry two
+# running sums and four divisions, lower still.
 PMC_DENSE_MEANLEN_MAX = 24.0
 SWING_DENSE_MEANLEN_MAX = 18.0
+CAMEO_DENSE_MEANLEN_MAX = 8.0
 
 # Dense sweeps give up on windows still open after this many rounds and
 # leave them to the chunked scans.
@@ -132,6 +142,110 @@ def prefix_sums(values: np.ndarray) -> np.ndarray:
     # a copied -0.0 differs bitwise from the scalar fold's 0.0 + -0.0 == +0.0
     np.cumsum(sums, out=sums)
     return sums
+
+
+def _sweep(n: int, max_length: int, switch_fraction: float,
+           state: list[np.ndarray], fold, cones: bool = False
+           ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Dense first-violation sweep skeleton shared by PMC, Swing and CAMEO.
+
+    Finds, for every position ``i`` at once, where a window opened at
+    ``i`` closes: ``E[i]`` is its first violating point, ``n`` when it
+    runs to the end of the array, ``OPEN`` when unresolved.  ``state``
+    holds one array per running quantity, entry ``i`` belonging to the
+    window opened at ``i``.  ``fold(k, state, at, m)`` folds each
+    window's ``k``-th point after its anchor — at positions ``at`` — into
+    ``state`` (in place, or as new arrays) and returns ``(state,
+    violation)``.
+
+    The slice phase advances every window on contiguous views (``at =
+    slice(k, None)``, ``m`` the view length for preallocated scratch:
+    fresh n-sized allocations are mmap territory and would dominate the
+    round cost); entries of closed windows keep updating but are masked
+    out of the scatter.  Once few windows remain open, the gather phase
+    compacts the survivors and touches only them (``at`` their point
+    indices, ``m`` None).  With ``cones`` the first two state arrays are
+    a slope interval, and the sweep also returns each resolved window's
+    interval before its violator (over all its points when it runs to
+    the end).
+    """
+    ends = np.full(n, OPEN, dtype=np.int64)
+    cone_lo = np.full(n, -math.inf) if cones else None
+    cone_hi = np.full(n, math.inf) if cones else None
+
+    def resolve(windows, close, source, pick) -> None:
+        ends[windows] = close
+        if cones:
+            cone_lo[windows] = source[0][pick]
+            cone_hi[windows] = source[1][pick]
+
+    rounds = min(DENSE_ROUNDS, max_length)
+    phase1_rounds = min(PHASE1_MAX_ROUNDS, rounds)
+    open_m = np.ones(n, dtype=bool)
+    abandoned = False
+    k_done = 0
+    for k in range(1, phase1_rounds + 1):
+        m = n - k
+        if m <= 0:
+            break
+        views = [column[:m] for column in state]
+        new, violation = fold(k, views, slice(k, None), m)
+        if k + 1 > max_length:
+            violation[:] = True
+        np.logical_and(violation, open_m[:m], out=violation)
+        closed = np.flatnonzero(violation)
+        if closed.size:
+            resolve(closed, closed + k, views, closed)
+            open_m[closed] = False
+        for view, column in zip(views, new):
+            if column is not view:
+                view[...] = column
+        k_done = k
+        if k % 2 == 0 or k == phase1_rounds:
+            fraction = np.count_nonzero(open_m[:m]) / m
+            if (k >= DENSE_ABANDON_ROUND
+                    and fraction > DENSE_ABANDON_FRACTION):
+                abandoned = True
+                break
+            if fraction < switch_fraction or k == phase1_rounds:
+                break
+
+    # Open windows that already absorbed every remaining point ran to the
+    # end of the array.
+    still_open = np.flatnonzero(open_m)
+    done = still_open[still_open >= n - 1 - k_done]
+    resolve(done, n, state, done)
+    if abandoned or k_done >= rounds:
+        return ends, cone_lo, cone_hi
+
+    idx = still_open[still_open < n - 1 - k_done]
+    state = [column[idx] for column in state]
+    for k in range(k_done + 1, rounds + 1):
+        if idx.size <= GATHER_MIN_SURVIVORS:
+            break  # leave the stragglers OPEN; the chase scans on-chain ones
+        # Windows whose next point falls past the array close "open at the
+        # end"; idx is sorted, so they form a suffix.
+        cut = int(np.searchsorted(idx, n - k))
+        if cut < idx.size:
+            resolve(idx[cut:], n, state, slice(cut, None))
+            idx = idx[:cut]
+            state = [column[:cut] for column in state]
+        j = idx + k
+        new, violation = fold(k, state, j, None)
+        if k + 1 > max_length:
+            violation[:] = True
+        if violation.any():
+            resolve(idx[violation], j[violation], state, violation)
+            keep = ~violation
+            idx = idx[keep]
+            new = [column[keep] for column in new]
+        state = new
+    return ends, cone_lo, cone_hi
+
+
+def _scratch(buffer: np.ndarray, m: int | None) -> np.ndarray | None:
+    """``buffer[:m]`` in the slice phase, None (allocate) when gathering."""
+    return None if m is None else buffer[:m]
 
 
 # ---------------------------------------------------------------------------
@@ -204,102 +318,30 @@ def _pmc_sweep(point_lo: np.ndarray, point_hi: np.ndarray, sums: np.ndarray,
     """Dense first-violation sweep for PMC-Mean (short-segment regime).
 
     Operates on (views of) the per-point bound arrays and prefix sums;
-    returns ``E`` relative to the view: the index of the first point that
-    violates a fresh window opened at each position, ``len`` when the
-    window runs to the end, ``OPEN`` when unresolved.
+    returns ``E`` relative to the view (see ``_sweep``).  The state of the
+    window opened at ``i`` is its admissible-mean envelope and the prefix
+    sum at its start.
     """
     n = len(point_lo)
-    ends = np.full(n, OPEN, dtype=np.int64)
-    rounds = min(DENSE_ROUNDS, max_length)
-    phase1_rounds = min(PHASE1_MAX_ROUNDS, rounds)
+    scratch = [np.empty(n) for _ in range(3)]
+    flags = [np.empty(n, dtype=bool) for _ in range(2)]
+    after = sums[1:]  # after[p] is the prefix sum through point p
 
-    # --- slice phase: every window at once, contiguous in-place updates.
-    # ``lo[i]``/``hi[i]`` accumulate the admissible-mean envelope of the
-    # window opened at ``i``; entries of already-closed windows keep
-    # updating but are masked out of the violation scatter by ``open_m``.
-    lo = point_lo.copy()
-    hi = point_hi.copy()
-    open_m = np.ones(n, dtype=bool)
-    # Preallocated per-round scratch: fresh n-sized allocations are mmap
-    # territory and would dominate the round cost.
-    buf_diff = np.empty(n)
-    buf_lo = np.empty(n)
-    buf_hi = np.empty(n)
-    buf_v1 = np.empty(n, dtype=bool)
-    buf_v2 = np.empty(n, dtype=bool)
-
-    abandoned = False
-    k_done = 0
-    for k in range(1, phase1_rounds + 1):
-        m = n - k
-        if m <= 0:
-            break
-        np.maximum(lo[:m], point_lo[k:], out=lo[:m])
-        np.minimum(hi[:m], point_hi[k:], out=hi[:m])
+    def fold(k, state, at, m):
+        lo, hi, base = state
+        np.maximum(lo, point_lo[at], out=lo)
+        np.minimum(hi, point_hi[at], out=hi)
         count = k + 1
-        diff = np.subtract(sums[count:], sums[:m], out=buf_diff[:m])
-        scaled_lo = np.multiply(lo[:m], count, out=buf_lo[:m])
-        scaled_hi = np.multiply(hi[:m], count, out=buf_hi[:m])
-        violation = np.less(diff, scaled_lo, out=buf_v1[:m])
-        above = np.greater(diff, scaled_hi, out=buf_v2[:m])
+        diff = np.subtract(after[at], base, out=_scratch(scratch[0], m))
+        scaled_lo = np.multiply(lo, count, out=_scratch(scratch[1], m))
+        scaled_hi = np.multiply(hi, count, out=_scratch(scratch[2], m))
+        violation = np.less(diff, scaled_lo, out=_scratch(flags[0], m))
+        above = np.greater(diff, scaled_hi, out=_scratch(flags[1], m))
         np.logical_or(violation, above, out=violation)
-        if count > max_length:
-            violation[:] = True
-        np.logical_and(violation, open_m[:m], out=violation)
-        closed = np.flatnonzero(violation)
-        if closed.size:
-            ends[closed] = closed + k
-            open_m[closed] = False
-        k_done = k
-        if k % 2 == 0 or k == phase1_rounds:
-            fraction = np.count_nonzero(open_m[:m]) / m
-            if (k >= DENSE_ABANDON_ROUND
-                    and fraction > DENSE_ABANDON_FRACTION):
-                abandoned = True
-                break
-            if fraction < PMC_DENSE_SWITCH_FRACTION or k == phase1_rounds:
-                break
+        return state, violation
 
-    # Open windows that already absorbed every remaining point ran to the
-    # end of the array.
-    still_open = np.flatnonzero(open_m)
-    ends[still_open[still_open >= n - 1 - k_done]] = n
-    if abandoned or k_done >= rounds:
-        return ends
-
-    # --- gather phase: compact the survivors, then touch only them.
-    idx = still_open[still_open < n - 1 - k_done]
-    if idx.size == 0:
-        return ends
-    act_lo = lo[idx]
-    act_hi = hi[idx]
-    base = sums[idx]
-    for k in range(k_done + 1, rounds + 1):
-        if idx.size <= GATHER_MIN_SURVIVORS:
-            break  # leave the stragglers OPEN; the chase scans on-chain ones
-        # Windows whose next point falls past the array close "open at the
-        # end"; idx is sorted, so they form a suffix.
-        cut = int(np.searchsorted(idx, n - k))
-        if cut < idx.size:
-            ends[idx[cut:]] = n
-            idx, act_lo, act_hi, base = (idx[:cut], act_lo[:cut],
-                                         act_hi[:cut], base[:cut])
-            if idx.size == 0:
-                break
-        j = idx + k
-        np.maximum(act_lo, point_lo[j], out=act_lo)
-        np.minimum(act_hi, point_hi[j], out=act_hi)
-        count = k + 1
-        diff = sums[j + 1] - base
-        violation = (diff < act_lo * count) | (diff > act_hi * count)
-        if count > max_length:
-            violation[:] = True
-        if violation.any():
-            ends[idx[violation]] = j[violation]
-            keep = ~violation
-            idx, base = idx[keep], base[keep]
-            act_lo, act_hi = act_lo[keep], act_hi[keep]
-    return ends
+    state = [point_lo.copy(), point_hi.copy(), sums[:n]]
+    return _sweep(n, max_length, PMC_DENSE_SWITCH_FRACTION, state, fold)[0]
 
 
 def pmc_chase(values: np.ndarray, error_bound: float, max_length: int,
@@ -502,92 +544,26 @@ def _swing_sweep(values: np.ndarray, low_num: np.ndarray,
                  high_num: np.ndarray, max_length: int) -> np.ndarray:
     """Dense first-violation sweep for the Swing slope cone.
 
-    Returns ``E`` relative to the view, as in ``_pmc_sweep``; the window
+    Returns ``E`` relative to the view (see ``_sweep``); the window
     anchored at each position closes at the first point emptying its cone.
     """
     n = len(values)
-    ends = np.full(n, OPEN, dtype=np.int64)
-    rounds = min(DENSE_ROUNDS, max_length)
-    phase1_rounds = min(PHASE1_MAX_ROUNDS, rounds)
+    scratch = np.empty(n)
+    flags = np.empty(n, dtype=bool)
 
-    # --- slice phase (see _pmc_sweep): cone bounds for the window
-    # anchored at ``i`` live at ``lo[i]``/``hi[i]``.
-    lo = np.full(n, -math.inf)
-    hi = np.full(n, math.inf)
-    open_m = np.ones(n, dtype=bool)
-    # Preallocated per-round scratch (see _pmc_sweep).
-    buf_lo = np.empty(n)
-    buf_hi = np.empty(n)
-    buf_v = np.empty(n, dtype=bool)
+    def fold(k, state, at, m):
+        lo, hi, anchor = state
+        term = np.subtract(low_num[at], anchor, out=_scratch(scratch, m))
+        term /= k
+        np.maximum(lo, term, out=lo)
+        term = np.subtract(high_num[at], anchor, out=term)
+        term /= k
+        np.minimum(hi, term, out=hi)
+        return state, np.greater(lo, hi, out=_scratch(flags, m))
 
-    abandoned = False
-    k_done = 0
-    for k in range(1, phase1_rounds + 1):
-        m = n - k
-        if m <= 0:
-            break
-        term_lo = np.subtract(low_num[k:], values[:m], out=buf_lo[:m])
-        term_lo /= k
-        np.maximum(lo[:m], term_lo, out=lo[:m])
-        term_hi = np.subtract(high_num[k:], values[:m], out=buf_hi[:m])
-        term_hi /= k
-        np.minimum(hi[:m], term_hi, out=hi[:m])
-        violation = np.greater(lo[:m], hi[:m], out=buf_v[:m])
-        if k + 1 > max_length:
-            violation[:] = True
-        np.logical_and(violation, open_m[:m], out=violation)
-        closed = np.flatnonzero(violation)
-        if closed.size:
-            ends[closed] = closed + k
-            open_m[closed] = False
-        k_done = k
-        if k % 2 == 0 or k == phase1_rounds:
-            fraction = np.count_nonzero(open_m[:m]) / m
-            if (k >= DENSE_ABANDON_ROUND
-                    and fraction > DENSE_ABANDON_FRACTION):
-                abandoned = True
-                break
-            if fraction < SWING_DENSE_SWITCH_FRACTION or k == phase1_rounds:
-                break
-
-    still_open = np.flatnonzero(open_m)
-    ends[still_open[still_open >= n - 1 - k_done]] = n
-    if abandoned or k_done >= rounds:
-        return ends
-
-    # --- gather phase on the compacted survivors.
-    idx = still_open[still_open < n - 1 - k_done]
-    if idx.size == 0:
-        return ends
-    anchor = values[idx]
-    act_lo = lo[idx]
-    act_hi = hi[idx]
-    for k in range(k_done + 1, rounds + 1):
-        if idx.size <= GATHER_MIN_SURVIVORS:
-            break  # leave the stragglers OPEN; the chase scans on-chain ones
-        cut = int(np.searchsorted(idx, n - k))
-        if cut < idx.size:
-            ends[idx[cut:]] = n
-            idx, anchor = idx[:cut], anchor[:cut]
-            act_lo, act_hi = act_lo[:cut], act_hi[:cut]
-            if idx.size == 0:
-                break
-        j = idx + k
-        term_lo = low_num[j] - anchor
-        term_lo /= k
-        np.maximum(act_lo, term_lo, out=act_lo)
-        term_hi = high_num[j] - anchor
-        term_hi /= k
-        np.minimum(act_hi, term_hi, out=act_hi)
-        violation = act_lo > act_hi
-        if k + 1 > max_length:
-            violation[:] = True
-        if violation.any():
-            ends[idx[violation]] = j[violation]
-            keep = ~violation
-            idx, anchor = idx[keep], anchor[keep]
-            act_lo, act_hi = act_lo[keep], act_hi[keep]
-    return ends
+    state = [np.full(n, -math.inf), np.full(n, math.inf), values]
+    return _sweep(n, max_length, SWING_DENSE_SWITCH_FRACTION, state,
+                  fold)[0]
 
 
 def swing_chase(values: np.ndarray, error_bound: float, max_length: int,
@@ -663,9 +639,53 @@ def swing_chase(values: np.ndarray, error_bound: float, max_length: int,
     return lengths, seg_lo, seg_hi
 
 
+def _cameo_sweep(values: np.ndarray, low_num: np.ndarray,
+                 high_num: np.ndarray, abs_values: np.ndarray, weight: float,
+                 max_length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense first-violation sweep for CAMEO's cone ∩ aggregate intervals.
+
+    Returns ``(E, cone_lo, cone_hi)`` relative to the view (see
+    ``_sweep``).  Each window start folds its own running deviation and
+    mass sums, one addition per round, in the scalar loop's order; the
+    run sum after ``k`` points is the exact integer ``k * (k + 1) / 2``.
+    ``max(lo, t1, t2)`` keeps the first of equal extremes and numpy's
+    maximum the second, hence the reversed nesting below (it decides the
+    sign of a zero bound).
+    """
+    n = len(values)
+    scratch = [np.empty(n) for _ in range(4)]
+    flags = np.empty(n, dtype=bool)
+
+    def fold(k, state, at, m):
+        lo, hi, anchor, dev, mass = state
+        dev += np.subtract(values[at], anchor, out=_scratch(scratch[0], m))
+        mass += abs_values[at]
+        total_run = k * (k + 1) / 2
+        budget = np.multiply(mass, weight, out=_scratch(scratch[0], m))
+        term = np.subtract(low_num[at], anchor, out=_scratch(scratch[1], m))
+        term /= k
+        new_lo = np.subtract(dev, budget, out=_scratch(scratch[2], m))
+        new_lo /= total_run
+        np.maximum(new_lo, term, out=new_lo)
+        np.maximum(new_lo, lo, out=new_lo)
+        term = np.subtract(high_num[at], anchor, out=term)
+        term /= k
+        new_hi = np.add(dev, budget, out=_scratch(scratch[3], m))
+        new_hi /= total_run
+        np.minimum(new_hi, term, out=new_hi)
+        np.minimum(new_hi, hi, out=new_hi)
+        violation = np.greater(new_lo, new_hi, out=_scratch(flags, m))
+        return [new_lo, new_hi, anchor, dev, mass], violation
+
+    state = [np.full(n, -math.inf), np.full(n, math.inf), values,
+             np.zeros(n), np.zeros(n)]
+    return _sweep(n, max_length, SWING_DENSE_SWITCH_FRACTION, state, fold,
+                  cones=True)
+
+
 def cameo_chase(values: np.ndarray, error_bound: float, acf_weight: float,
                 max_length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chunked CAMEO segmentation (cone ∩ aggregate-deviation intervals).
+    """CAMEO segmentation (cone ∩ aggregate-deviation intervals).
 
     CAMEO keeps Swing's per-point slope cone and intersects one extra
     linear constraint per point: the running signed deviation of the
@@ -676,16 +696,14 @@ def cameo_chase(values: np.ndarray, error_bound: float, acf_weight: float,
     induced autocorrelation/aggregate error of the simplification.
 
     All running sums are float64 left folds (cumsum seeded with the
-    carried totals — the exact additions of the scalar loop, in the same
-    order), and min/max envelopes are exact, so the first-violation
-    positions and the returned pre-violation cones match the scalar
-    reference bit for bit.  Returns ``(lengths, seg_lo, seg_hi)`` like
-    ``swing_chase``.
-
-    The segment-at-a-time chunked scan is the right regime here: the
-    aggregate constraint needs three running folds per point, so a dense
-    per-offset sweep would triple its round cost while typical CAMEO
-    segments are no shorter than Swing's.
+    carried totals, or one addition per sweep round — the exact additions
+    of the scalar loop, in the same order), and min/max envelopes are
+    exact, so the first-violation positions and the returned
+    pre-violation cones match the scalar reference bit for bit.  Returns
+    ``(lengths, seg_lo, seg_hi)`` like ``swing_chase``, and dispatches
+    like it: a probe of the chunked scan estimates the mean segment
+    length, short segments go to the dense sweep (``_cameo_sweep``) and
+    long ones stay on the scan.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = len(values)
@@ -705,110 +723,155 @@ def cameo_chase(values: np.ndarray, error_bound: float, acf_weight: float,
     lengths: list[int] = []
     seg_lo: list[float] = []
     seg_hi: list[float] = []
-
-    window_start = 0
-    anchor = v_list[0] if n else 0.0
-    lo, hi = -math.inf, math.inf
-    sum_dev = 0.0   # B: left fold of (value - anchor)
-    sum_mass = 0.0  # left fold of |value|
-    sum_run = 0.0   # A: left fold of run (exact small integers)
-    position = 1
     scratch_dev = np.empty(MAX_CHUNK + 1)
     scratch_mass = np.empty(MAX_CHUNK + 1)
     scratch_run = np.empty(MAX_CHUNK + 1)
-    while position < n:
-        boundary = -1
-        # Scalar warm-up: windows shorter than the vector break-even (the
-        # common regime at tight bounds) never pay per-chunk numpy
-        # overhead.  These are the very additions the seeded cumsums
-        # below perform, so switching regimes cannot move a violation.
-        warm_end = min(window_start + CAMEO_WARMUP,
-                       window_start + max_length, n)
-        while position < warm_end:
-            run = position - window_start
-            new_dev = sum_dev + (v_list[position] - anchor)
-            new_mass = sum_mass + abs_list[position]
-            new_run = sum_run + run
-            budget = weight * new_mass
-            new_lo = max(lo, (low_list[position] - anchor) / run,
-                         (new_dev - budget) / new_run)
-            new_hi = min(hi, (high_list[position] - anchor) / run,
-                         (new_dev + budget) / new_run)
-            if new_lo > new_hi:
-                boundary = position  # the violator anchors the next window
-                break
-            lo, hi = new_lo, new_hi
-            sum_dev, sum_mass, sum_run = new_dev, new_mass, new_run
-            position += 1
-        if boundary < 0:
-            if position >= n:
-                break  # open trailing window
-            if position == window_start + max_length:
-                boundary = position  # forced close: window is at capacity
-        chunk = CAMEO_WARMUP
-        while boundary < 0:
-            end = min(position + chunk, window_start + max_length, n)
-            c = end - position
-            runs = np.arange(position - window_start,
-                             end - window_start, dtype=np.float64)
-            term_lo = (low_num[position:end] - anchor) / runs
-            term_hi = (high_num[position:end] - anchor) / runs
-            # Seeded cumsums: the exact float64 additions of the scalar
-            # fold, in the same order (see prefix_sums).
-            buf = scratch_dev[:c + 1]
-            buf[0] = sum_dev
-            np.subtract(values[position:end], anchor, out=buf[1:])
-            dev = np.cumsum(buf)[1:]
-            buf = scratch_mass[:c + 1]
-            buf[0] = sum_mass
-            buf[1:] = abs_values[position:end]
-            mass = np.cumsum(buf)[1:]
-            buf = scratch_run[:c + 1]
-            buf[0] = sum_run
-            buf[1:] = runs
-            total_run = np.cumsum(buf)[1:]
-            budget = weight * mass
-            agg_lo = (dev - budget) / total_run
-            agg_hi = (dev + budget) / total_run
-            lo_env = np.maximum.accumulate(np.maximum(term_lo, agg_lo))
-            hi_env = np.minimum.accumulate(np.minimum(term_hi, agg_hi))
-            np.maximum(lo_env, lo, out=lo_env)
-            np.minimum(hi_env, hi, out=hi_env)
-            violation = lo_env > hi_env
-            j = int(violation.argmax())
-            if violation[j]:
-                boundary = position + j  # the violator anchors the next window
-                if j > 0:
-                    lo = float(lo_env[j - 1])
-                    hi = float(hi_env[j - 1])
-            elif end == window_start + max_length and end < n:
-                boundary = end  # forced close: the capacity point re-anchors
-                lo = float(lo_env[-1])
-                hi = float(hi_env[-1])
-            else:
-                lo = float(lo_env[-1])
-                hi = float(hi_env[-1])
-                sum_dev = float(dev[-1])
-                sum_mass = float(mass[-1])
-                sum_run = float(total_run[-1])
-                position = end
-                if position >= n:
+
+    def scan(start: int, stop_segments: int = 0) -> int:
+        """Chunked scan of windows from ``start``; where it stopped.
+
+        Appends every closed window, and the trailing one when the data
+        runs out (returning ``n``).  With ``stop_segments`` it returns
+        the next window start after that many closes or once
+        ``SAMPLE_POINTS`` points are consumed.
+        """
+        stop_after = len(lengths) + stop_segments
+        window_start = start
+        anchor = v_list[start] if start < n else 0.0
+        lo, hi = -math.inf, math.inf
+        sum_dev = 0.0   # B: left fold of (value - anchor)
+        sum_mass = 0.0  # left fold of |value|
+        sum_run = 0.0   # A: left fold of run (exact small integers)
+        position = start + 1
+        while position < n:
+            boundary = -1
+            # Scalar warm-up: windows shorter than the vector break-even (the
+            # common regime at tight bounds) never pay per-chunk numpy
+            # overhead.  These are the very additions the seeded cumsums
+            # below perform, so switching regimes cannot move a violation.
+            warm_end = min(window_start + CAMEO_WARMUP,
+                           window_start + max_length, n)
+            while position < warm_end:
+                run = position - window_start
+                new_dev = sum_dev + (v_list[position] - anchor)
+                new_mass = sum_mass + abs_list[position]
+                new_run = sum_run + run
+                budget = weight * new_mass
+                new_lo = max(lo, (low_list[position] - anchor) / run,
+                             (new_dev - budget) / new_run)
+                new_hi = min(hi, (high_list[position] - anchor) / run,
+                             (new_dev + budget) / new_run)
+                if new_lo > new_hi:
+                    boundary = position  # the violator anchors the next window
                     break
-                chunk = min(2 * chunk, MAX_CHUNK)
-        if boundary < 0:
-            break  # open trailing window (data exhausted mid-scan)
-        lengths.append(boundary - window_start)
+                lo, hi = new_lo, new_hi
+                sum_dev, sum_mass, sum_run = new_dev, new_mass, new_run
+                position += 1
+            if boundary < 0:
+                if position >= n:
+                    break  # open trailing window
+                if position == window_start + max_length:
+                    boundary = position  # forced close: window is at capacity
+            chunk = CAMEO_WARMUP
+            while boundary < 0:
+                end = min(position + chunk, window_start + max_length, n)
+                c = end - position
+                runs = np.arange(position - window_start,
+                                 end - window_start, dtype=np.float64)
+                term_lo = (low_num[position:end] - anchor) / runs
+                term_hi = (high_num[position:end] - anchor) / runs
+                # Seeded cumsums: the exact float64 additions of the scalar
+                # fold, in the same order (see prefix_sums).
+                buf = scratch_dev[:c + 1]
+                buf[0] = sum_dev
+                np.subtract(values[position:end], anchor, out=buf[1:])
+                dev = np.cumsum(buf)[1:]
+                buf = scratch_mass[:c + 1]
+                buf[0] = sum_mass
+                buf[1:] = abs_values[position:end]
+                mass = np.cumsum(buf)[1:]
+                buf = scratch_run[:c + 1]
+                buf[0] = sum_run
+                buf[1:] = runs
+                total_run = np.cumsum(buf)[1:]
+                budget = weight * mass
+                agg_lo = (dev - budget) / total_run
+                agg_hi = (dev + budget) / total_run
+                lo_env = np.maximum.accumulate(np.maximum(term_lo, agg_lo))
+                hi_env = np.minimum.accumulate(np.minimum(term_hi, agg_hi))
+                np.maximum(lo_env, lo, out=lo_env)
+                np.minimum(hi_env, hi, out=hi_env)
+                violation = lo_env > hi_env
+                j = int(violation.argmax())
+                if violation[j]:
+                    # the violator anchors the next window
+                    boundary = position + j
+                    if j > 0:
+                        lo = float(lo_env[j - 1])
+                        hi = float(hi_env[j - 1])
+                elif end == window_start + max_length and end < n:
+                    # forced close: the capacity point re-anchors
+                    boundary = end
+                    lo = float(lo_env[-1])
+                    hi = float(hi_env[-1])
+                else:
+                    lo = float(lo_env[-1])
+                    hi = float(hi_env[-1])
+                    sum_dev = float(dev[-1])
+                    sum_mass = float(mass[-1])
+                    sum_run = float(total_run[-1])
+                    position = end
+                    if position >= n:
+                        break
+                    chunk = min(2 * chunk, MAX_CHUNK)
+            if boundary < 0:
+                break  # open trailing window (data exhausted mid-scan)
+            lengths.append(boundary - window_start)
+            seg_lo.append(lo)
+            seg_hi.append(hi)
+            window_start = boundary
+            anchor = v_list[boundary]
+            lo, hi = -math.inf, math.inf
+            sum_dev = sum_mass = sum_run = 0.0
+            position = boundary + 1
+            if stop_segments and (len(lengths) >= stop_after
+                                  or boundary - start >= SAMPLE_POINTS):
+                return boundary
+        lengths.append(n - window_start)
         seg_lo.append(lo)
         seg_hi.append(hi)
-        window_start = boundary
-        anchor = v_list[boundary]
-        lo, hi = -math.inf, math.inf
-        sum_dev = sum_mass = sum_run = 0.0
-        position = boundary + 1
-    lengths.append(n - window_start)
-    seg_lo.append(lo)
-    seg_hi.append(hi)
-    _metric_inc("kernel.cameo.chunked")
+        return n
+
+    position = scan(0, stop_segments=SAMPLE_SEGMENTS)
+    if position >= n:
+        _metric_inc("kernel.cameo.probe_only")
+    elif position > CAMEO_DENSE_MEANLEN_MAX * len(lengths):
+        _metric_inc("kernel.cameo.chunked")
+        scan(position)
+    else:
+        _metric_inc("kernel.cameo.dense")
+        offset = position
+        ends, cone_lo, cone_hi = _cameo_sweep(
+            values[offset:], low_num[offset:], high_num[offset:],
+            abs_values[offset:], weight, max_length)
+        chain: list[int] = []
+        ends_list = ends.tolist()
+        rel = 0
+        while rel < n - offset:
+            if ends_list[rel] == OPEN:
+                # unresolved window: scan just this one segment into the
+                # sweep's tables, then resume following the chain
+                scan(offset + rel, stop_segments=1)
+                ends_list[rel] = rel + lengths.pop()
+                cone_lo[rel] = seg_lo.pop()
+                cone_hi[rel] = seg_hi.pop()
+            chain.append(rel)
+            rel = ends_list[rel]
+        starts = np.array(chain, dtype=np.int64)
+        return (np.concatenate((np.asarray(lengths, dtype=np.int64),
+                                np.diff(starts, append=n - offset))),
+                np.concatenate((seg_lo, cone_lo[starts])),
+                np.concatenate((seg_hi, cone_hi[starts])))
     return (np.asarray(lengths, dtype=np.int64), np.asarray(seg_lo),
             np.asarray(seg_hi))
 

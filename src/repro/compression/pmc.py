@@ -11,17 +11,18 @@ why PMC benefits so strongly from the shared gzip stage: long runs of
 similar constants compress extremely well.
 
 Window means are anchored to one global prefix-sum fold (``mean = (S[end] -
-S[start]) / length``), so the batch scalar loop, the dense-sweep kernel,
-and the streaming encoder all compute bit-identical means.  The
-segmentation runs on the dense first-violation sweep in
-``repro.compression.kernels`` by default; ``PMC(use_kernel=False)`` selects
-the scalar per-point reference loop, which the equivalence suite pins to
-the kernel (identical segments, byte-identical payloads).
+S[start]) / length``), so the dense-sweep kernel and the online encoder
+compute bit-identical means.  The segmentation runs on the dense
+first-violation sweep in ``repro.compression.kernels`` by default;
+``PMC(use_kernel=False)`` instead pushes the series point by point through
+the online encoder (``streaming.OnlinePMC``), whose ``push`` loop is the
+scalar reference the equivalence suite pins the kernel to (identical
+segments, byte-identical payloads).  A streamed PMC session is therefore
+byte-identical to a batch compress of the same values.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -30,22 +31,11 @@ from repro.compression import kernels, timestamps
 from repro.compression.base import (CompressionResult, Compressor,
                                     gunzip_bytes, record_result,
                                     gzip_bytes)
+from repro.compression.streaming import OnlinePMC, _store_float32
 from repro.datasets.timeseries import TimeSeries
 from repro.registry import register_compressor
 
 _COUNT = struct.Struct("<I")
-
-
-def _store_float32(value: float, lo: float, hi: float) -> float:
-    """Round ``value`` to float32, keeping it inside the admissible interval."""
-    stored = float(np.float32(value))
-    if lo <= stored <= hi:
-        return stored
-    # Rounding pushed the coefficient just outside [lo, hi]; nudging one ULP
-    # toward the interval midpoint restores the guarantee.
-    nudged = float(np.float32(np.nextafter(np.float32(stored),
-                                           np.float32((lo + hi) / 2.0))))
-    return min(max(nudged, lo), hi)
 
 
 @register_compressor("PMC", lossy=True, paper=True, grid=True,
@@ -62,12 +52,7 @@ class PMC(Compressor):
 
     def compress(self, series: TimeSeries, error_bound: float) -> CompressionResult:
         self._check_inputs(series, error_bound)
-        values = series.values
-        if self.use_kernel:
-            lengths, means = self._segments_kernel(values, error_bound)
-        else:
-            lengths, means = self._segments_scalar(values, error_bound)
-
+        lengths, means = self._segments(series.values, error_bound)
         payload = self._serialize(series, lengths, means)
         compressed = gzip_bytes(payload)
         return record_result(CompressionResult(
@@ -80,12 +65,19 @@ class PMC(Compressor):
             num_segments=len(lengths),
         ))
 
-    @staticmethod
-    def _segments_kernel(values: np.ndarray, error_bound: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense-sweep segmentation (see ``repro.compression.kernels``)."""
-        lengths, means, lo, hi = kernels.pmc_chase(
-            values, error_bound, timestamps.MAX_SEGMENT_LENGTH)
+    def _segments(self, values: np.ndarray, error_bound: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Segment lengths and their float32-stored means."""
+        cap = timestamps.MAX_SEGMENT_LENGTH
+        if not self.use_kernel:
+            # the scalar reference: the online encoder, pushed point by point
+            encoder = OnlinePMC(error_bound, cap)
+            for value in values:
+                encoder.push(value)
+            segments = encoder.segments + encoder.flush()
+            return (np.array([s.length for s in segments], dtype=np.int64),
+                    np.array([s.value for s in segments], dtype=np.float64))
+        lengths, means, lo, hi = kernels.pmc_chase(values, error_bound, cap)
         stored = means.astype(np.float32).astype(np.float64)
         inside = (lo <= stored) & (stored <= hi)
         if not inside.all():
@@ -95,49 +87,6 @@ class PMC(Compressor):
                 stored[i] = _store_float32(float(means[i]),
                                            float(lo[i]), float(hi[i]))
         return lengths, stored
-
-    @staticmethod
-    def _segments_scalar(values: np.ndarray, error_bound: float
-                         ) -> tuple[list[int], list[float]]:
-        """Per-point reference loop, kept to pin the kernel's semantics."""
-        lengths: list[int] = []
-        means: list[float] = []
-
-        window_start = 0
-        base = 0.0  # prefix sum at the window start
-        total = 0.0  # running prefix sum over the whole array (never reset)
-        lo = -math.inf  # greatest lower bound imposed by any window point
-        hi = math.inf  # least upper bound
-
-        def close(end: int) -> None:
-            """Emit the window [window_start, end) as one mean segment."""
-            length = end - window_start
-            mean = (total - base) / length
-            lengths.append(length)
-            means.append(_store_float32(mean, lo, hi))
-
-        for i, value in enumerate(values):
-            allowed = error_bound * abs(value)
-            new_lo = max(lo, value - allowed)
-            new_hi = min(hi, value + allowed)
-            new_total = total + value
-            count = i - window_start + 1
-            # The close predicate compares the window *sum* against the
-            # count-scaled bounds (one multiply instead of a divide) —
-            # the exact form the kernels and the streaming encoder use.
-            diff = new_total - base
-            window_full = count > timestamps.MAX_SEGMENT_LENGTH
-            if window_full or diff < new_lo * count or diff > new_hi * count:
-                close(i)
-                window_start = i
-                base = total
-                lo = value - allowed
-                hi = value + allowed
-            else:
-                lo, hi = new_lo, new_hi
-            total = new_total
-        close(len(values))
-        return lengths, means
 
     @staticmethod
     def _reconstruct_series(series: TimeSeries, lengths, means) -> TimeSeries:

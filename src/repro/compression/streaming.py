@@ -4,9 +4,15 @@ The paper's motivating deployment compresses on the wind turbine as values
 arrive (Section 1).  PMC and Swing are online algorithms by construction —
 they maintain a single open window — so this module exposes them as
 incremental encoders: ``push`` one value at a time, collect finished
-segments as they close, and ``flush`` at the end.  The batch compressors
-are thin wrappers over the same logic, and tests verify that streaming and
-batch outputs decode identically.
+segments as they close, and ``flush`` at the end.
+
+The ``push`` state machines are the single scalar reference of both
+codecs: ``PMC(use_kernel=False)`` and ``Swing(use_kernel=False)`` run
+them point by point over the series, and the equivalence suite pins the
+batch kernels to them byte for byte.  Streamed PMC and Swing are
+therefore byte-identical to batch PMC and Swing: ``OnlineSwing`` keeps
+its open window's values and puts every closed window through the batch
+verify/split pass (``repro.compression.linesegment``) before emitting it.
 
 ``extend`` runs on the chunked-scan kernels shared with the batch
 compressors (``repro.compression.kernels``), so feeding an array is
@@ -17,6 +23,7 @@ boundaries is identical on both paths.
 
 from __future__ import annotations
 
+import base64
 import math
 import struct
 from abc import ABC, abstractmethod
@@ -24,7 +31,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression import kernels
+from repro.compression import kernels, linesegment
+
+
+def _store_float32(value: float, lo: float, hi: float) -> float:
+    """Round ``value`` to float32, keeping it inside ``[lo, hi]`` if it can.
+
+    The result is always float32-representable, so a PMC mean stored by
+    the stream equals the one a batch payload decodes to.
+    """
+    stored = float(np.float32(value))
+    if lo <= stored <= hi:
+        return stored
+    # Rounding pushed the coefficient just outside [lo, hi]; nudging one ULP
+    # toward the interval midpoint restores the guarantee.
+    nudged = float(np.float32(np.nextafter(np.float32(stored),
+                                           np.float32((lo + hi) / 2.0))))
+    return float(np.float32(min(max(nudged, lo), hi)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +145,7 @@ class OnlineCompressor(ABC):
         return list(self._closed_segments)
 
     def snapshot(self) -> dict:
-        """The open-window state, as JSON-safe scalars.
+        """The open-window state, as JSON-safe scalars and lists.
 
         The snapshot captures everything needed to continue the stream —
         the configuration plus the subclass's window state — but NOT the
@@ -131,7 +154,9 @@ class OnlineCompressor(ABC):
         emitting exactly the segments the uninterrupted encoder would
         (pinned by the round-trip tests).  Non-finite floats (the ±inf
         cone bounds of a fresh window) survive both JSON (Python's
-        literal extension) and the columnar cache format.
+        literal extension) and the columnar cache format.  Swing's state
+        holds its open window's values, so its snapshot grows with the
+        window, up to ``max_segment_length`` floats.
         """
         return {
             "algorithm": type(self).__name__,
@@ -164,13 +189,14 @@ class OnlineCompressor(ABC):
 
 
 class OnlinePMC(OnlineCompressor):
-    """Streaming PMC-Mean (identical segmentation to the batch PMC).
+    """Streaming PMC-Mean; its ``push`` loop is the batch PMC reference.
 
-    Window means are prefix-sum anchored, exactly as in the batch PMC: the
-    running total is one left fold over the whole stream (never reset), and
-    a window's mean is ``(total - base) / count`` with ``base`` the fold at
-    the window start.  Feeding the same values therefore reproduces the
-    batch segmentation bit for bit, on both ``push`` and ``extend``.
+    Window means are prefix-sum anchored: the running total is one left
+    fold over the whole stream (never reset), and a window's mean is
+    ``(total - base) / count`` with ``base`` the fold at the window start.
+    Closed means are stored with :func:`_store_float32`, exactly as the
+    batch kernel stores them, so streamed segments are byte-identical to
+    a batch compress on both ``push`` and ``extend``.
     """
 
     def __init__(self, error_bound: float, max_segment_length: int = 0xFFFF
@@ -185,8 +211,8 @@ class OnlinePMC(OnlineCompressor):
     def _close(self) -> None:
         if self._count:
             mean = (self._total - self._base) / self._count
-            value = float(np.float32(min(max(mean, self._lo), self._hi)))
-            self._closed_segments.append(ConstantSegment(self._count, value))
+            self._closed_segments.append(ConstantSegment(
+                self._count, _store_float32(mean, self._lo, self._hi)))
 
     def _push(self, value: float) -> None:
         allowed = self.error_bound * abs(value)
@@ -195,7 +221,7 @@ class OnlinePMC(OnlineCompressor):
         new_total = self._total + value
         # prospective segment length if `value` joins the window; closing at
         # `> max` caps emitted segments at exactly max_segment_length, the
-        # same predicate as OnlineSwing and the batch PMC (pinned by the
+        # same predicate as OnlineSwing and the kernels (pinned by the
         # boundary tests in tests/compression/test_streaming.py)
         count = self._count + 1
         diff = new_total - self._base
@@ -235,69 +261,110 @@ class OnlinePMC(OnlineCompressor):
         closes, state = kernels.pmc_scan(array, self.error_bound, state,
                                          self.max_segment_length)
         for length, mean, lo, hi in closes:
-            value = float(np.float32(min(max(mean, lo), hi)))
-            self._closed_segments.append(ConstantSegment(length, value))
+            self._closed_segments.append(
+                ConstantSegment(length, _store_float32(mean, lo, hi)))
         self._count, self._base, self._total, self._lo, self._hi = state
         return self._closed_segments[before:]
 
 
 class OnlineSwing(OnlineCompressor):
-    """Streaming Swing filter (identical cone logic to the batch Swing)."""
+    """Streaming Swing filter; its ``push`` loop is the batch Swing reference.
+
+    The encoder keeps the open window's values, so every window it closes
+    goes through the batch compressor's verify/split pass
+    (``linesegment.verify``) before it is emitted: streamed segments hold
+    Definition 4 and are byte-identical to a batch compress, on both
+    ``push`` and ``extend``.  The values live in a float64 buffer that
+    doubles as it fills, so a point costs amortized O(1) to keep and is
+    verified once, when its window closes.
+    """
 
     def __init__(self, error_bound: float, max_segment_length: int = 0xFFFF
                  ) -> None:
         super().__init__(error_bound, max_segment_length)
-        self._anchor: float | None = None
-        self._run = 0
+        self._window = np.empty(16)  # the open window, anchor first
+        self._size = 0
+        self._anchor = 0.0
         self._slope_lo = -math.inf
         self._slope_hi = math.inf
 
+    def _open(self, values: np.ndarray) -> None:
+        """Start a new window holding ``values`` (at least one point)."""
+        self._size = 0
+        self._slope_lo = -math.inf
+        self._slope_hi = math.inf
+        self._append(values)
+        self._anchor = float(values[0])
+
+    def _append(self, values: np.ndarray) -> None:
+        size = self._size + len(values)
+        if size > len(self._window):
+            grown = np.empty(max(size, 2 * len(self._window)))
+            grown[:self._size] = self._window[:self._size]
+            self._window = grown
+        self._window[self._size:size] = values
+        self._size = size
+
+    def _emit(self, values: np.ndarray, lengths: np.ndarray,
+              cone_lo: np.ndarray, cone_hi: np.ndarray) -> None:
+        """Verify the windows tiling ``values``; append the segments."""
+        lengths, slopes, intercepts = linesegment.verify(
+            values, self.error_bound, lengths,
+            linesegment.mid_slopes(lengths, cone_lo, cone_hi))
+        self._closed_segments.extend(
+            LinearSegment(int(length), float(slope), float(intercept))
+            for length, slope, intercept in zip(lengths, slopes, intercepts))
+
     def _close(self) -> None:
-        if self._anchor is None:
-            return
-        if self._run == 0 or not math.isfinite(self._slope_lo):
-            slope = 0.0
-        else:
-            slope = (self._slope_lo + self._slope_hi) / 2.0
-        self._closed_segments.append(
-            LinearSegment(self._run + 1, float(slope), float(self._anchor)))
+        if self._size:
+            self._emit(self._window[:self._size],
+                       np.array([self._size], dtype=np.int64),
+                       np.array([self._slope_lo]), np.array([self._slope_hi]))
 
     def _push(self, value: float) -> None:
-        if self._anchor is None:
-            self._anchor = value
-            self._run = 0
+        if not self._size:
+            self._open(np.array([value]))
             return
         allowed = self.error_bound * abs(value)
-        run = self._run + 1
+        run = self._size
         new_lo = max(self._slope_lo, (value - allowed - self._anchor) / run)
         new_hi = min(self._slope_hi, (value + allowed - self._anchor) / run)
         # `run` counts points after the anchor, so `run + 1` is the
         # prospective segment length if `value` joins — the same
         # "prospective length > max" predicate as OnlinePMC (whose `count`
-        # already includes the anchor) and the batch Swing; segments are
-        # capped at exactly max_segment_length on all four paths
+        # already includes the anchor) and the kernels; segments are
+        # capped at exactly max_segment_length on every path
         prospective_length = run + 1
         if prospective_length > self.max_segment_length or new_lo > new_hi:
             self._close()
-            self._anchor = value
-            self._run = 0
-            self._slope_lo = -math.inf
-            self._slope_hi = math.inf
+            self._open(np.array([value]))
         else:
-            self._run = run
+            if run == len(self._window):
+                self._append(np.array([value]))
+            else:
+                self._window[run] = value
+                self._size = run + 1
             self._slope_lo, self._slope_hi = new_lo, new_hi
 
     def _flush(self) -> None:
         self._close()
 
     def _state_snapshot(self) -> dict:
-        return {"anchor": self._anchor, "run": self._run,
+        # the window's float64 bytes as one base64 string: exact, JSON-safe,
+        # and one scalar for the cache to write instead of a float per point
+        window = self._window[:self._size].astype("<f8").tobytes()
+        return {"window": base64.b64encode(window).decode("ascii"),
                 "slope_lo": self._slope_lo, "slope_hi": self._slope_hi}
 
     def _restore_state(self, state: dict) -> None:
-        anchor = state["anchor"]
-        self._anchor = None if anchor is None else float(anchor)
-        self._run = int(state["run"])
+        if "window" not in state:
+            # older snapshots kept only the anchor and the run length, so
+            # the open window's values are gone
+            raise ValueError("OnlineSwing snapshot holds no window values")
+        window = np.frombuffer(base64.b64decode(state["window"]), dtype="<f8")
+        self._size = 0
+        if window.size:
+            self._open(window)
         self._slope_lo = float(state["slope_lo"])
         self._slope_hi = float(state["slope_hi"])
 
@@ -307,22 +374,25 @@ class OnlineSwing(OnlineCompressor):
         before = len(self._closed_segments)
         if array.size == 0:
             return []
-        offset = 0
-        if self._anchor is None:
-            self._anchor = float(array[0])
-            self._run = 0
-            offset = 1
-        state = (self._anchor, self._run, self._slope_lo, self._slope_hi)
-        closes, state = kernels.swing_scan(array[offset:], self.error_bound,
-                                           state, self.max_segment_length)
-        for length, slope_lo, slope_hi, anchor in closes:
-            if length == 1 or not math.isfinite(slope_lo):
-                slope = 0.0
-            else:
-                slope = (slope_lo + slope_hi) / 2.0
-            self._closed_segments.append(
-                LinearSegment(length, float(slope), float(anchor)))
-        self._anchor, self._run, self._slope_lo, self._slope_hi = state
+        size = self._size
+        state = (self._anchor if size else float(array[0]), max(size - 1, 0),
+                 self._slope_lo, self._slope_hi)
+        closes, state = kernels.swing_scan(array if size else array[1:],
+                                           self.error_bound, state,
+                                           self.max_segment_length)
+        if closes:
+            lengths = np.array([close[0] for close in closes],
+                               dtype=np.int64)
+            taken = int(lengths.sum()) - size  # closed points of `array`
+            self._emit(np.concatenate((self._window[:size], array[:taken])),
+                       lengths, np.array([close[1] for close in closes]),
+                       np.array([close[2] for close in closes]))
+            self._open(array[taken:])
+        else:
+            self._append(array)
+            if not size:
+                self._anchor = float(array[0])
+        _, _, self._slope_lo, self._slope_hi = state
         return self._closed_segments[before:]
 
 

@@ -59,6 +59,7 @@ import argparse
 import contextlib
 import json
 import os
+import signal
 import sys
 import threading
 import urllib.parse
@@ -823,10 +824,14 @@ def serve_from_args(args: argparse.Namespace) -> int:
                          max_resident_sessions=args.max_resident_sessions,
                          session_sweep_s=args.session_sweep)
     server.start()
-    print(f"repro-serve v{API_VERSION} listening on "
-          f"http://{server.host}:{server.port}/v1/healthz "
-          f"(Ctrl-C to stop)")
+    # SIGTERM, and SIGINT even when the launching shell left it ignored,
+    # end the wait as KeyboardInterrupt: batchers drain and metrics flush
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     try:
+        print(f"repro-serve v{API_VERSION} listening on "
+              f"http://{server.host}:{server.port}/v1/healthz "
+              f"(Ctrl-C to stop)", flush=True)
         threading.Event().wait()
     except KeyboardInterrupt:
         print("shutting down")

@@ -411,8 +411,12 @@ class SessionManager:
         if not isinstance(snapshot, dict):
             raise _not_found(session_id,
                              f"unknown stream session {session_id!r}")
-        session = StreamSession.from_snapshot(snapshot)
-        if session.closed or now - session.last_touch > session.ttl_s:
+        try:
+            session = StreamSession.from_snapshot(snapshot)
+        except (KeyError, ValueError):
+            session = None  # a snapshot in a form this version cannot read
+        if (session is None or session.closed
+                or now - session.last_touch > session.ttl_s):
             # a stale snapshot must not resurrect a finished session
             self._index.pop(session_id, None)
             self.cache.remove(_cache_key(session_id))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.compression import Cameo, check_error_bound
 from repro.compression.cameo import ACF_WEIGHT
-from repro.datasets import TimeSeries
+from repro.datasets import TimeSeries, load
 
 
 def series_of(values, interval=60):
@@ -142,3 +142,17 @@ def test_property_bound_and_drift_hold(values, error_bound):
     assert np.array_equal(
         Cameo(use_kernel=False).compress(series, error_bound).compressed,
         result.compressed)
+
+
+@pytest.mark.parametrize("name, error_bound", [("Solar", 0.5),
+                                               ("ETTm1", 0.8)])
+def test_exact_zeros_hold_definition4_with_no_slack(name, error_bound):
+    # an absolute slack in the verify pass lets each of these cells
+    # reconstruct one exact zero as a ~1e-15 residue
+    series = load(name, 3984).target_series
+    kernel = Cameo(use_kernel=True).compress(series, error_bound)
+    scalar = Cameo(use_kernel=False).compress(series, error_bound)
+    assert kernel.payload == scalar.payload
+    for result in (kernel, scalar):
+        x, x_hat = series.values, result.decompressed.values
+        assert np.all(np.abs(x - x_hat) <= error_bound * np.abs(x))

@@ -11,7 +11,7 @@ from repro.compression.streaming import (ConstantSegment, LinearSegment,
                                          reconstruct, restore_compressor,
                                          segment_from_wire, segment_to_wire,
                                          segments_payload)
-from repro.datasets import TimeSeries
+from repro.datasets import DATASET_NAMES, TimeSeries, load
 
 
 def noisy_series(n=800, seed=0):
@@ -26,8 +26,8 @@ def test_online_pmc_matches_batch_segmentation():
     encoder.flush()
     batch = PMC().compress(TimeSeries(values, interval=60), 0.1)
     assert len(encoder.segments) == batch.num_segments
-    assert np.allclose(reconstruct(encoder.segments),
-                       batch.decompressed.values, atol=1e-6)
+    assert np.array_equal(reconstruct(encoder.segments),
+                          batch.decompressed.values)
 
 
 def test_online_swing_matches_batch_reconstruction():
@@ -61,12 +61,12 @@ def test_stream_length_preserved():
 
 def test_error_bound_respected_by_stream():
     values = noisy_series(seed=3)
-    for encoder in (OnlinePMC(0.1), OnlineSwing(0.1)):
+    for encoder, slack in ((OnlinePMC(0.1), 0.0), (OnlineSwing(0.1), 1e-5)):
         encoder.extend(values)
         encoder.flush()
         decoded = reconstruct(encoder.segments)
         assert np.all(np.abs(decoded - values)
-                      <= 0.1 * np.abs(values) + 1e-5)
+                      <= 0.1 * np.abs(values) + slack)
 
 
 def test_push_after_flush_rejected():
@@ -123,8 +123,12 @@ def test_streaming_matches_batch_at_boundary_lengths(monkeypatch, boundary):
         batch = batch_cls().compress(series, 0.05)
         assert max(s.length for s in encoder.segments) <= boundary
         assert len(encoder.segments) == batch.num_segments, online_cls
-        assert np.allclose(reconstruct(encoder.segments),
-                           batch.decompressed.values, atol=1e-5), online_cls
+        streamed = reconstruct(encoder.segments)
+        if online_cls is OnlinePMC:
+            assert np.array_equal(streamed, batch.decompressed.values)
+        else:
+            assert np.allclose(streamed, batch.decompressed.values,
+                               atol=1e-5)
 
 
 def test_negative_error_bound_rejected():
@@ -153,8 +157,46 @@ def test_property_streaming_pmc_equals_batch(values, error_bound):
     encoder.extend(values)
     encoder.flush()
     batch = PMC().compress(TimeSeries(values, interval=60), error_bound)
-    assert np.allclose(reconstruct(encoder.segments),
-                       batch.decompressed.values, atol=1e-5)
+    assert np.array_equal(reconstruct(encoder.segments),
+                          batch.decompressed.values)
+
+
+@pytest.mark.parametrize("error_bound", [0.01, 0.05, 0.1, 0.3, 0.8])
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_streamed_pmc_is_batch_pmc_on_every_dataset(name, error_bound):
+    # streamed and batch PMC store their means through the same float32
+    # helper, so the stream is the batch output bit for bit and holds
+    # Definition 4 with no slack
+    series = load(name, 4000).target_series
+    encoder = OnlinePMC(error_bound)
+    encoder.extend(series.values)
+    encoder.flush()
+    streamed = reconstruct(encoder.segments)
+    batch = PMC().compress(series, error_bound)
+    assert np.array_equal(streamed, batch.decompressed.values)
+    assert np.all(np.abs(streamed - series.values)
+                  <= error_bound * np.abs(series.values))
+
+
+@pytest.mark.parametrize("values, error_bound", [
+    ([1.0, 1.0, 9.826202844824304e-259], 0.5),
+    ([1.0, 0.6, 1e-40], 0.2),
+    ([1.0, 6.000201281220838e-151], 0.01),
+])
+def test_streamed_swing_holds_definition4_near_zero(values, error_bound):
+    # the slope cone rounds to admit a line that lands on 0.0 instead of
+    # a tiny value; the stream must split that window as the batch does
+    values = np.asarray(values)
+    batch = Swing().compress(TimeSeries(values, interval=60), error_bound)
+    bulk = OnlineSwing(error_bound)
+    segments = bulk.extend(values) + bulk.flush()
+    pointwise = OnlineSwing(error_bound)
+    for value in values:
+        pointwise.push(value)
+    assert pointwise.segments + pointwise.flush() == segments
+    streamed = reconstruct(segments)
+    assert np.array_equal(streamed, batch.decompressed.values)
+    assert np.all(np.abs(streamed - values) <= error_bound * np.abs(values))
 
 
 # -- snapshot / restore ------------------------------------------------------
@@ -208,6 +250,15 @@ def test_snapshot_preserves_finished_flag():
     resumed = restore_compressor(encoder.snapshot())
     with pytest.raises(RuntimeError):
         resumed.push(2.0)
+
+
+def test_restore_rejects_swing_snapshot_without_window():
+    # the older Swing snapshot kept only the anchor and the run length
+    with pytest.raises(ValueError):
+        restore_compressor({"algorithm": "OnlineSwing", "error_bound": 0.1,
+                            "max_segment_length": 10, "finished": False,
+                            "state": {"anchor": 1.0, "run": 3,
+                                      "slope_lo": -0.5, "slope_hi": 0.5}})
 
 
 def test_restore_rejects_unknown_algorithm():

@@ -16,11 +16,18 @@ Covers the serving-layer guarantees:
 - terminal grid runs are evicted from memory beyond the tracking window
   and keep answering their polls from the durable run store;
 - ``/v1/metricz`` parses the trace sink incrementally (byte-offset
-  high-water mark), not the whole file per scrape.
+  high-water mark), not the whole file per scrape;
+- a daemon process stops cleanly (exit code 0) on SIGTERM, and on SIGINT
+  even when it was started with SIGINT ignored.
 """
 
 import concurrent.futures
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -279,6 +286,48 @@ def test_terminal_runs_evict_to_the_store():
         with pytest.raises(ServerError) as excinfo:
             client.run_status("nope")
         assert excinfo.value.status == 404
+
+
+# -- shutdown on signals ------------------------------------------------------
+
+
+# exec the daemon with SIGINT ignored, as a non-interactive shell starts a
+# background job (an ignored signal stays ignored across exec)
+_IGNORING_SIGINT = ("import os, signal, sys; "
+                    "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                    "os.execv(sys.executable, "
+                    "[sys.executable] + sys.argv[1:])")
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                         ids=["SIGTERM", "SIGINT"])
+def test_daemon_stops_cleanly_on_signal(tmp_path, signum):
+    import repro
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    process = subprocess.Popen(
+        [sys.executable, "-c", _IGNORING_SIGINT, "-m", "repro.server",
+         "--port", "0", "--cache-dir", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        output = b""
+        while b"listening on" not in output:
+            remaining = deadline - time.monotonic()
+            assert remaining > 0, output
+            ready, _, _ = select.select([process.stdout], [], [], remaining)
+            line = process.stdout.readline() if ready else b""
+            assert line, output
+            output += line
+        process.send_signal(signum)
+        assert process.wait(timeout=10) == 0
+        assert b"shutting down" in process.stdout.read()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()
 
 
 # -- incremental /v1/metricz ---------------------------------------------------

@@ -179,6 +179,28 @@ def test_ttl_is_wall_clock_across_restart(tmp_path):
     assert second.live() == 0
 
 
+def test_unreadable_swing_snapshot_is_not_found(tmp_path):
+    # a SWING snapshot in the older {anchor, run} form holds no window
+    # values: after a restart the session answers 404 and its stale
+    # snapshot leaves the cache, instead of failing every push
+    first = SessionManager(cache=DiskCache(str(tmp_path)))
+    opened = _open(first, method="SWING")
+    first.push(opened.session_id, [1.0, 1.5, 2.0])
+    key = f"stream-session/{opened.session_id}"
+    snapshot = first.cache.get(key)
+    state = snapshot["compressor"]["state"]
+    snapshot["compressor"]["state"] = {
+        "anchor": 1.0, "run": 2,
+        "slope_lo": state["slope_lo"], "slope_hi": state["slope_hi"]}
+    first.cache.put(key, snapshot)
+    second = SessionManager(cache=DiskCache(str(tmp_path)))
+    with pytest.raises(ApiError) as excinfo:
+        second.push(opened.session_id, [2.5])
+    assert excinfo.value.status == 404
+    assert not second.cache.contains(key)
+    assert second.live() == 0
+
+
 def test_discard_race_cannot_resurrect_session():
     # a push racing a discard: the discard wins and the late persist is
     # dropped, so the snapshot cannot re-appear after teardown
